@@ -12,7 +12,7 @@
 use crate::config::ModelConfig;
 use dp_data::dataset::{Dataset, Snapshot};
 use dp_mdsim::cell::Cell;
-use dp_mdsim::neighbor::NeighborList;
+use dp_mdsim::neighbor::{Neighbor, NeighborList};
 use serde::{Deserialize, Serialize};
 
 /// Switching function `s(r)` and its derivative.
@@ -151,52 +151,79 @@ impl EnvStats {
 pub fn build_envs(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Vec<AtomEnv> {
     let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
     let nl = NeighborList::build(&cell, &frame.pos, cfg.rcut);
-    let n = frame.types.len();
-    let mut envs = Vec::with_capacity(n);
-    for i in 0..n {
-        let ti = frame.types[i];
-        let inv_std_r = 1.0 / stats.std_radial[ti];
-        let mean_r = stats.mean_radial[ti];
-        let inv_std_a = 1.0 / stats.std_angular[ti];
-        let mut entries: Vec<EnvEntry> = nl
-            .neighbors_of(i)
-            .iter()
-            .map(|nb| {
-                let r = nb.dist;
-                let (s, ds) = switch(r, cfg.rcut_smooth, cfg.rcut);
-                let rhat = [nb.rij.0[0] / r, nb.rij.0[1] / r, nb.rij.0[2] / r];
-                let mut row = [0.0; 4];
-                row[0] = (s - mean_r) * inv_std_r;
+    (0..frame.types.len())
+        .map(|i| atom_env(cfg, stats, frame, i, nl.neighbors_of(i)))
+        .collect()
+}
+
+/// Build the environments of the `centres` only (frame indices, in the
+/// given order), with every frame atom eligible as a neighbour. Each
+/// returned env is bitwise the one [`build_envs`] gives that atom: the
+/// neighbour search and the row arithmetic are the same, only the
+/// centre set shrinks.
+pub fn build_envs_for(
+    cfg: &ModelConfig,
+    stats: &EnvStats,
+    frame: &Snapshot,
+    centres: &[usize],
+) -> Vec<AtomEnv> {
+    let cell = Cell::orthorhombic(frame.cell[0], frame.cell[1], frame.cell[2]);
+    let lists = NeighborList::full_lists_for(&cell, &frame.pos, cfg.rcut, centres);
+    centres
+        .iter()
+        .zip(&lists)
+        .map(|(&i, nbs)| atom_env(cfg, stats, frame, i, nbs))
+        .collect()
+}
+
+/// The typed environment of atom `i` from its ascending neighbour list.
+fn atom_env(
+    cfg: &ModelConfig,
+    stats: &EnvStats,
+    frame: &Snapshot,
+    i: usize,
+    neighbours: &[Neighbor],
+) -> AtomEnv {
+    let ti = frame.types[i];
+    let inv_std_r = 1.0 / stats.std_radial[ti];
+    let mean_r = stats.mean_radial[ti];
+    let inv_std_a = 1.0 / stats.std_angular[ti];
+    let mut entries: Vec<EnvEntry> = neighbours
+        .iter()
+        .map(|nb| {
+            let r = nb.dist;
+            let (s, ds) = switch(r, cfg.rcut_smooth, cfg.rcut);
+            let rhat = [nb.rij.0[0] / r, nb.rij.0[1] / r, nb.rij.0[2] / r];
+            let mut row = [0.0; 4];
+            row[0] = (s - mean_r) * inv_std_r;
+            for c in 0..3 {
+                row[c + 1] = s * rhat[c] * inv_std_a;
+            }
+            // Derivatives wrt r_j. ∂s/∂(r_j)_a = ds·r̂_a;
+            // ∂(s·r̂_c)/∂(r_j)_a = ds·r̂_c·r̂_a + s·(δ_ca − r̂_c r̂_a)/r.
+            let mut drow = [[0.0; 3]; 4];
+            for a in 0..3 {
+                drow[0][a] = ds * rhat[a] * inv_std_r;
                 for c in 0..3 {
-                    row[c + 1] = s * rhat[c] * inv_std_a;
+                    let delta = if a == c { 1.0 } else { 0.0 };
+                    drow[c + 1][a] = (ds * rhat[c] * rhat[a]
+                        + s * (delta - rhat[c] * rhat[a]) / r)
+                        * inv_std_a;
                 }
-                // Derivatives wrt r_j. ∂s/∂(r_j)_a = ds·r̂_a;
-                // ∂(s·r̂_c)/∂(r_j)_a = ds·r̂_c·r̂_a + s·(δ_ca − r̂_c r̂_a)/r.
-                let mut drow = [[0.0; 3]; 4];
-                for a in 0..3 {
-                    drow[0][a] = ds * rhat[a] * inv_std_r;
-                    for c in 0..3 {
-                        let delta = if a == c { 1.0 } else { 0.0 };
-                        drow[c + 1][a] = (ds * rhat[c] * rhat[a]
-                            + s * (delta - rhat[c] * rhat[a]) / r)
-                            * inv_std_a;
-                    }
-                }
-                EnvEntry { j: nb.j, tj: frame.types[nb.j], row, drow }
-            })
-            .collect();
-        entries.sort_by_key(|e| e.tj);
-        // Type ranges.
-        let mut type_ranges = vec![(0usize, 0usize); cfg.n_types];
-        let mut start = 0;
-        for (t, range) in type_ranges.iter_mut().enumerate() {
-            let end = start + entries[start..].iter().take_while(|e| e.tj == t).count();
-            *range = (start, end);
-            start = end;
-        }
-        envs.push(AtomEnv { entries, type_ranges });
+            }
+            EnvEntry { j: nb.j, tj: frame.types[nb.j], row, drow }
+        })
+        .collect();
+    entries.sort_by_key(|e| e.tj);
+    // Type ranges.
+    let mut type_ranges = vec![(0usize, 0usize); cfg.n_types];
+    let mut start = 0;
+    for (t, range) in type_ranges.iter_mut().enumerate() {
+        let end = start + entries[start..].iter().take_while(|e| e.tj == t).count();
+        *range = (start, end);
+        start = end;
     }
-    envs
+    AtomEnv { entries, type_ranges }
 }
 
 #[cfg(test)]

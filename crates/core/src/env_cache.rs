@@ -20,7 +20,7 @@
 //! to a rebuild — the cache can never perturb a trajectory.
 
 use crate::config::ModelConfig;
-use crate::env::{build_envs, AtomEnv, EnvStats};
+use crate::env::{build_envs, build_envs_for, AtomEnv, EnvStats};
 use dp_data::dataset::Snapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -29,9 +29,12 @@ use std::sync::{Arc, RwLock};
 /// geometry hash it was built from.
 #[derive(Clone, Debug)]
 pub struct FrameEnv {
-    /// Per-atom typed environments (entries, type ranges, row
+    /// Per-centre typed environments (entries, type ranges, row
     /// derivatives) — everything the forward/backward sweeps read.
     pub envs: Vec<AtomEnv>,
+    /// Frame index of each centre: `envs[c]` is atom `centres[c]`'s
+    /// environment. `0..n` for a whole-frame build.
+    pub centres: Vec<usize>,
     /// [`geometry_hash`] of the frame at build time.
     pub geom_hash: u64,
 }
@@ -39,10 +42,24 @@ pub struct FrameEnv {
 impl FrameEnv {
     /// Run `build_envs` and stamp the result.
     pub fn build(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot) -> Self {
+        Self::whole(build_envs(cfg, stats, frame), geometry_hash(frame))
+    }
+
+    /// Environments of the `centres` only (frame indices), every frame
+    /// atom eligible as a neighbour — the domain engine's owned-centre
+    /// evaluation, where the rest of the frame is ghosts. Never cached:
+    /// the geometry hash does not cover the centre set.
+    pub fn build_for(cfg: &ModelConfig, stats: &EnvStats, frame: &Snapshot, centres: &[usize]) -> Self {
         FrameEnv {
-            envs: build_envs(cfg, stats, frame),
+            envs: build_envs_for(cfg, stats, frame, centres),
+            centres: centres.to_vec(),
             geom_hash: geometry_hash(frame),
         }
+    }
+
+    fn whole(envs: Vec<AtomEnv>, geom_hash: u64) -> Self {
+        let centres = (0..envs.len()).collect();
+        FrameEnv { envs, centres, geom_hash }
     }
 
     /// Approximate resident bytes of this entry (entries dominate:
@@ -219,10 +236,7 @@ impl EnvCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let env = Arc::new(FrameEnv {
-            envs: build_envs(cfg, stats, frame),
-            geom_hash: hash,
-        });
+        let env = Arc::new(FrameEnv::whole(build_envs(cfg, stats, frame), hash));
         *self.slots[idx].write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&env));
         env
     }

@@ -80,6 +80,24 @@ pub struct DeepPotModel {
     pub fittings: Vec<Mlp>,
 }
 
+/// One term of the reverse force sweep: centre `centre`'s energy
+/// residual depends on neighbour `j` (its env entry `k`) with gradient
+/// `dv = ∂Eᵢ/∂r_j`; the centre's own position gets `−dv`. Indices are
+/// frame indices. [`DeepPotModel::forces_into`] emits the terms in the
+/// order it folds them — ascending centre, then ascending entry — which
+/// is the only order that reproduces the fold bitwise.
+#[derive(Clone, Copy, Debug)]
+pub struct ForceTerm {
+    /// Centre atom (frame index).
+    pub centre: usize,
+    /// Entry index within the centre's environment.
+    pub k: usize,
+    /// Neighbour atom (frame index).
+    pub j: usize,
+    /// `∂Eᵢ/∂r_j` (eV/Å).
+    pub dv: Vec3,
+}
+
 /// Cached forward state of one atom. The atom's environment lives in
 /// the pass-level [`FrameEnv`] (shared, possibly cached geometry).
 struct AtomPass {
@@ -115,7 +133,8 @@ pub struct ForwardPass<'f> {
 }
 
 impl ForwardPass<'_> {
-    /// Number of atoms in the frame.
+    /// Number of centres evaluated (every frame atom unless the pass
+    /// came from [`DeepPotModel::forward_centres`]).
     pub fn n_atoms(&self) -> usize {
         self.atoms.len()
     }
@@ -131,11 +150,11 @@ impl ForwardPass<'_> {
         self.atoms.iter().zip(self.env.envs.iter()).map(|(a, e)| (a.ti, e))
     }
 
-    /// Per-atom energy residual (fitting-network output before the
-    /// type bias), in frame order. Summing these in ascending atom
-    /// order reproduces `energy_residual` bitwise — the hook the
-    /// domain-decomposed engine uses to reduce per-domain energies in
-    /// fixed global index order (DESIGN §15).
+    /// Energy residual (fitting-network output before the type bias)
+    /// of centre `i` — atom `i` for a whole-frame pass. Summing these
+    /// in ascending order reproduces `energy_residual` bitwise — the
+    /// hook the domain-decomposed engine uses to reduce per-domain
+    /// energies in fixed global index order (DESIGN §15).
     pub fn atom_energy_residual(&self, i: usize) -> f64 {
         self.atoms[i].energy
     }
@@ -354,6 +373,18 @@ impl DeepPotModel {
         self.forward_impl(frame, frame_env)
     }
 
+    /// Forward pass over the `centres` only (frame indices, ascending):
+    /// every frame atom is a candidate neighbour, but only the centres
+    /// get environments, descriptors and fitting outputs. Centre `c` of
+    /// the pass is bitwise atom `centres[c]` of a whole-frame
+    /// [`DeepPotModel::forward`] — the domain engine's owned-centre
+    /// evaluation, where the rest of the frame is ghosts. `energy` is
+    /// the residual sum plus the centres' type bias.
+    pub fn forward_centres<'f>(&self, frame: &'f Snapshot, centres: &[usize]) -> ForwardPass<'f> {
+        let env = Arc::new(FrameEnv::build_for(&self.cfg, &self.stats, frame, centres));
+        self.forward_impl(frame, env)
+    }
+
     /// The single forward worker every public entry point funnels into.
     /// The entry points differ **only** in where the [`FrameEnv`] comes
     /// from (fresh build / index-mapped cache / geometry-hash-keyed
@@ -371,7 +402,7 @@ impl DeepPotModel {
         let inv_n = 1.0 / self.stats.n_scale;
         let mut atoms = Vec::with_capacity(frame_env.envs.len());
         let mut energy_residual = 0.0;
-        for (i, env) in frame_env.envs.iter().enumerate() {
+        for (env, &i) in frame_env.envs.iter().zip(&frame_env.centres) {
             let ti = frame.types[i];
             let n_i = env.entries.len();
             // Environment matrix rows.
@@ -405,7 +436,12 @@ impl DeepPotModel {
             energy_residual += e_atom;
             atoms.push(AtomPass { ti, energy: e_atom, r_mat, g, emb_caches, u, fit_cache });
         }
-        let energy = energy_residual + self.bias.reference_energy(&frame.types);
+        let bias = if frame_env.centres.len() == frame.types.len() {
+            self.bias.reference_energy(&frame.types)
+        } else {
+            frame_env.centres.iter().map(|&i| self.bias.per_type[frame.types[i]]).sum()
+        };
+        let energy = energy_residual + bias;
         ForwardPass { frame, env: frame_env, atoms, energy_residual, energy }
     }
 
@@ -419,25 +455,23 @@ impl DeepPotModel {
     // ---- reverse sweep (forces and ∇θ E) -------------------------------
 
     /// Shared reverse sweep seeded with `dE/dEᵢ = 1`: optionally
-    /// accumulates parameter gradients and/or assembles forces.
-    fn backward_energy(
+    /// accumulates parameter gradients and/or folds the position
+    /// gradient `dE/dr` into `dpos` (one slot per frame atom), handing
+    /// each [`ForceTerm`] to the sink as it is folded.
+    fn backward_energy<F: FnMut(&ForceTerm)>(
         &self,
         pass: &ForwardPass<'_>,
         mut grads: Option<&mut ModelGrads>,
-        compute_forces: bool,
-    ) -> Option<Vec<Vec3>> {
+        mut dpos: Option<(&mut [Vec3], F)>,
+    ) {
         let nt = self.cfg.n_types;
         let m_sub = self.cfg.m_sub;
         let inv_n = 1.0 / self.stats.n_scale;
-        let n_atoms = pass.atoms.len();
-        let mut dpos = if compute_forces {
-            vec![Vec3::ZERO; n_atoms]
-        } else {
-            Vec::new()
-        };
+        let compute_forces = dpos.is_some();
         let seed = Mat::from_vec(1, 1, vec![1.0]);
-        for (i, atom) in pass.atoms.iter().enumerate() {
-            let env = &pass.env.envs[i];
+        for (ci, atom) in pass.atoms.iter().enumerate() {
+            let env = &pass.env.envs[ci];
+            let i = pass.env.centres[ci];
             let ti = atom.ti;
             // Fitting backward.
             let gd_flat = self.fittings[ti].backward(
@@ -489,7 +523,7 @@ impl DeepPotModel {
                 }
             }
             // Position assembly (forces).
-            if compute_forces {
+            if let Some((dpos, on_term)) = dpos.as_mut() {
                 kernel::launch("force_assembly");
                 let g_r = g_r.as_ref().unwrap();
                 for (k, e) in env.entries.iter().enumerate() {
@@ -507,21 +541,42 @@ impl DeepPotModel {
                     let dv = Vec3(dvec);
                     dpos[e.j] += dv;
                     dpos[i] -= dv;
+                    on_term(&ForceTerm { centre: i, k, j: e.j, dv });
                 }
             }
-        }
-        if compute_forces {
-            // F = −dE/dr.
-            Some(dpos.into_iter().map(|v| -v).collect())
-        } else {
-            None
         }
     }
 
     /// Forces `F = −∇_r E_tot` from a forward pass (handwritten Opt1
     /// kernels).
     pub fn forces(&self, pass: &ForwardPass<'_>) -> Vec<Vec3> {
-        self.backward_energy(pass, None, true).unwrap()
+        let mut forces = vec![Vec3::ZERO; pass.frame.types.len()];
+        self.forces_into(pass, &mut forces, |_| {});
+        forces
+    }
+
+    /// [`DeepPotModel::forces`] into a caller's buffer (one slot per
+    /// frame atom, overwritten), handing every [`ForceTerm`] to
+    /// `on_term` in fold order. For a centre pass the result holds only
+    /// the evaluated centres' contributions — the domain engine
+    /// completes atoms near a foreign region from the terms (DESIGN
+    /// §15.3).
+    ///
+    /// # Panics
+    /// Panics if `forces.len()` is not the frame's atom count.
+    pub fn forces_into(
+        &self,
+        pass: &ForwardPass<'_>,
+        forces: &mut [Vec3],
+        on_term: impl FnMut(&ForceTerm),
+    ) {
+        assert_eq!(forces.len(), pass.frame.types.len(), "forces_into: one slot per frame atom");
+        forces.fill(Vec3::ZERO);
+        self.backward_energy(pass, None, Some((&mut *forces, on_term)));
+        // F = −dE/dr.
+        for f in forces.iter_mut() {
+            *f = -*f;
+        }
     }
 
     /// `∇_θ E_tot` as a flat vector (the Kalman-filter energy update
@@ -536,7 +591,7 @@ impl DeepPotModel {
     /// summed) gradient buffer — the allocation-free form used by the
     /// frame-parallel gradient engine.
     pub fn backward_energy_params(&self, pass: &ForwardPass<'_>, grads: &mut ModelGrads) {
-        self.backward_energy(pass, Some(grads), false);
+        self.backward_energy(pass, Some(grads), None::<(&mut [Vec3], fn(&ForceTerm))>);
     }
 
     // ---- dual sweep (∇θ of force contractions) -------------------------
@@ -560,7 +615,7 @@ impl DeepPotModel {
         coeffs: &[f64],
         grads: &mut ModelGrads,
     ) {
-        let n_atoms = pass.atoms.len();
+        let n_atoms = pass.frame.types.len();
         assert_eq!(coeffs.len(), 3 * n_atoms, "coeffs must be 3·n_atoms long");
         let nt = self.cfg.n_types;
         let m_sub = self.cfg.m_sub;
@@ -572,8 +627,9 @@ impl DeepPotModel {
         let zero_seed = Mat::zeros(1, 1);
         let neg_seed = Mat::from_vec(1, 1, vec![-1.0]);
 
-        for (i, atom) in pass.atoms.iter().enumerate() {
-            let env = &pass.env.envs[i];
+        for (ci, atom) in pass.atoms.iter().enumerate() {
+            let env = &pass.env.envs[ci];
+            let i = pass.env.centres[ci];
             let ti = atom.ti;
             let n_i = env.entries.len();
             // Tangent env rows: ṙow[c] = drow[c]·(c_j − c_i).
@@ -899,5 +955,92 @@ mod tests {
         let forces = model.forces(&model.forward(&frame));
         let total = forces.iter().fold(Vec3::ZERO, |acc, f| acc + *f);
         assert!(total.norm() < 1e-10, "net force {total:?} must vanish");
+    }
+
+    fn assert_bits(a: &[Vec3], b: &[Vec3]) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            for k in 0..3 {
+                assert_eq!(x.0[k].to_bits(), y.0[k].to_bits(), "atom {i} component {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn folding_emitted_terms_reproduces_forces_bitwise() {
+        let model = toy_model(17);
+        let frame = toy_frame(11);
+        let n = frame.types.len();
+        let pass = model.forward(&frame);
+        let reference = model.forces(&pass);
+        let mut terms = Vec::new();
+        let mut forces = vec![Vec3::new(1.0, 2.0, 3.0); n];
+        model.forces_into(&pass, &mut forces, |t| terms.push(*t));
+        assert_bits(&forces, &reference);
+        assert!(!terms.is_empty());
+        assert!(
+            terms.windows(2).all(|w| (w[0].centre, w[0].k) < (w[1].centre, w[1].k)),
+            "terms arrive in (centre, entry) order"
+        );
+        // The whole fold, replayed from the terms.
+        let mut dpos = vec![Vec3::ZERO; n];
+        for t in &terms {
+            dpos[t.j] += t.dv;
+            dpos[t.centre] -= t.dv;
+        }
+        let folded: Vec<Vec3> = dpos.into_iter().map(|v| -v).collect();
+        assert_bits(&folded, &reference);
+        // One atom at a time, as the domain engine replays a boundary
+        // atom: only the terms that touch it, in (centre, entry) order.
+        for a in 0..n {
+            let mut acc = Vec3::ZERO;
+            for t in terms.iter().filter(|t| t.centre == a || t.j == a) {
+                if t.centre == a {
+                    acc -= t.dv;
+                } else {
+                    acc += t.dv;
+                }
+            }
+            assert_bits(&[-acc], &reference[a..=a]);
+        }
+    }
+
+    #[test]
+    fn centre_pass_matches_the_full_pass_bitwise() {
+        let model = toy_model(18);
+        let frame = toy_frame(12);
+        let n = frame.types.len();
+        let full = model.forward(&frame);
+        let mut full_terms = Vec::new();
+        let mut f_full = vec![Vec3::ZERO; n];
+        model.forces_into(&full, &mut f_full, |t| full_terms.push(*t));
+        let centres: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let pass = model.forward_centres(&frame, &centres);
+        assert_eq!(pass.n_atoms(), centres.len());
+        for (c, &i) in centres.iter().enumerate() {
+            assert_eq!(pass.frame_env().centres[c], i);
+            assert_eq!(
+                pass.atom_energy_residual(c).to_bits(),
+                full.atom_energy_residual(i).to_bits(),
+                "residual of centre {i}"
+            );
+        }
+        // The centre pass emits exactly the full pass's terms of its
+        // centres, bit for bit.
+        let mut terms = Vec::new();
+        let mut f = vec![Vec3::ZERO; n];
+        model.forces_into(&pass, &mut f, |t| terms.push(*t));
+        let want: Vec<ForceTerm> =
+            full_terms.iter().filter(|t| centres.contains(&t.centre)).copied().collect();
+        assert_eq!(terms.len(), want.len());
+        for (a, b) in terms.iter().zip(&want) {
+            assert_eq!((a.centre, a.k, a.j), (b.centre, b.k, b.j));
+            assert_bits(&[a.dv], &[b.dv]);
+        }
+        // A whole-frame centre list is the plain forward.
+        let all: Vec<usize> = (0..n).collect();
+        let same = model.forward_centres(&frame, &all);
+        assert_eq!(same.energy.to_bits(), full.energy.to_bits());
+        assert_bits(&model.forces(&same), &f_full);
     }
 }

@@ -15,11 +15,17 @@
 //!    gid-order restored per store);
 //! 3. ghost exchange (per-source outboxes, then per-destination
 //!    collect + gid sort — the result is independent of source order);
-//! 4. local evaluation on the merged owned+ghost sub-frame;
-//! 5. energy reduction by ascending gid + second half kick.
+//!    an owned atom sent anywhere as a ghost is marked *boundary*;
+//! 4. local evaluation on the merged owned+ghost sub-frame, which also
+//!    returns the potential's reverse force terms (none under the
+//!    default `2·cutoff` contract);
+//! 5. term exchange: terms aimed at a ghost go to its owner, and every
+//!    boundary atom's force is replayed from all of its terms in
+//!    ascending (centre gid, entry) order — the global fold's order;
+//! 6. energy reduction by ascending gid + second half kick.
 
 use crate::grid::DomainGrid;
-use crate::potential::{DomainPotential, LocalFrame};
+use crate::potential::{DomainPotential, ForceTerm, LocalFrame};
 use crate::store::{DomainStore, GhostStore, LocalArrays};
 use crate::DomainError;
 use dp_mdsim::cell::Cell;
@@ -38,10 +44,37 @@ const GHOST_SLACK: f64 = 1e-9;
 #[derive(Clone, Copy, Debug)]
 struct GhostMsg {
     dst: usize,
+    /// Source (owning) domain and the atom's slot in its store.
+    src: usize,
+    slot: usize,
     gid: usize,
     typ: usize,
     pos: Vec3,
     inner: bool,
+}
+
+/// A reverse force term on its way to the domain owning its target.
+#[derive(Clone, Copy, Debug)]
+struct TermMsg {
+    dst: usize,
+    /// Target atom gid (owned by `dst`).
+    target: usize,
+    /// Centre gid and env-entry index: the replay sort key.
+    centre: usize,
+    k: usize,
+    dv: Vec3,
+}
+
+/// One contribution to a boundary atom's force, replayed in
+/// (centre, k) order: `−= dv` when the atom is the centre itself,
+/// `+= dv` otherwise — exactly the global fold.
+#[derive(Clone, Copy, Debug)]
+struct Replay {
+    /// Target's owned-store slot.
+    slot: usize,
+    centre: usize,
+    k: usize,
+    dv: Vec3,
 }
 
 /// An atom that crossed a domain face during the drift.
@@ -54,7 +87,8 @@ struct Migrant {
     vel: Vec3,
 }
 
-/// Per-domain state bundle.
+/// Per-domain state bundle. Every buffer keeps its capacity between
+/// steps, so once warm the exchange phases allocate nothing.
 #[derive(Default)]
 struct Domain {
     store: DomainStore,
@@ -63,6 +97,73 @@ struct Domain {
     inbox: Vec<GhostMsg>,
     out_e: Vec<f64>,
     out_f: Vec<Vec3>,
+    /// Per owned slot: replicated as a ghost somewhere this step, so
+    /// foreign centres may send it terms.
+    boundary: Vec<bool>,
+    /// The potential's reverse force terms (local indices).
+    terms: Vec<ForceTerm>,
+    /// Terms aimed at ghosts, bound for their owners.
+    term_out: Vec<TermMsg>,
+    /// Contributions to boundary atoms, local and received.
+    replay: Vec<Replay>,
+}
+
+impl Domain {
+    /// Sort the potential's terms (local indices) into the two places
+    /// they matter: a term aimed at a ghost goes to the ghost's owner;
+    /// a term touching a boundary atom — as neighbour (`+= dv`) or as
+    /// centre (`−= dv`) — is kept for that atom's replay. Terms between
+    /// interior atoms are already final in the fused local sum.
+    fn route_terms(&mut self) {
+        self.term_out.clear();
+        let loc = &self.loc;
+        for t in &self.terms {
+            let centre = loc.gids[t.centre];
+            let c_slot = loc.owned_slot[t.centre];
+            debug_assert!(c_slot != usize::MAX, "terms come from owned centres only");
+            let j_slot = loc.owned_slot[t.j];
+            if j_slot == usize::MAX {
+                self.term_out.push(TermMsg {
+                    dst: loc.owner[t.j],
+                    target: loc.gids[t.j],
+                    centre,
+                    k: t.k,
+                    dv: t.dv,
+                });
+            } else if self.boundary[j_slot] {
+                self.replay.push(Replay { slot: j_slot, centre, k: t.k, dv: t.dv });
+            }
+            if self.boundary[c_slot] {
+                self.replay.push(Replay { slot: c_slot, centre, k: t.k, dv: t.dv });
+            }
+        }
+        self.terms.clear();
+    }
+
+    /// Overwrite each replayed atom's force with its terms folded from
+    /// zero in ascending (centre gid, k) order — the order of the
+    /// global `backward_energy`, so the bits match `model.predict`.
+    fn replay_boundary(&mut self) {
+        self.replay.sort_unstable_by_key(|r| (r.slot, r.centre, r.k));
+        let st = &mut self.store;
+        for run in self.replay.chunk_by(|a, b| a.slot == b.slot) {
+            let slot = run[0].slot;
+            let gid = st.gid[slot];
+            let mut dpos = Vec3::ZERO;
+            for r in run {
+                if r.centre == gid {
+                    dpos -= r.dv;
+                } else {
+                    dpos += r.dv;
+                }
+            }
+            let f = -dpos;
+            st.fx[slot] = f.0[0];
+            st.fy[slot] = f.0[1];
+            st.fz[slot] = f.0[2];
+        }
+        self.replay.clear();
+    }
 }
 
 /// Domain-decomposed MD state + velocity-Verlet driver.
@@ -77,6 +178,9 @@ pub struct DecomposedMd {
     domains: Vec<Domain>,
     /// Per-source ghost outboxes.
     ghost_out: Vec<Vec<GhostMsg>>,
+    /// Per-source term outboxes (swapped in from each domain's
+    /// `term_out` so destinations can read them all).
+    term_out: Vec<Vec<TermMsg>>,
     migrants: Vec<Migrant>,
     /// Per-gid energy gather buffer (scratch for the fixed-order sum).
     e_by_gid: Vec<f64>,
@@ -132,6 +236,7 @@ impl DecomposedMd {
             types: state.types.clone(),
             domains,
             ghost_out: (0..n_domains).map(|_| Vec::new()).collect(),
+            term_out: (0..n_domains).map(|_| Vec::new()).collect(),
             migrants: Vec::new(),
             e_by_gid: vec![0.0; n],
             ke_by_gid: vec![0.0; n],
@@ -171,8 +276,9 @@ impl DecomposedMd {
         self.energy
     }
 
-    /// Rebuild ghosts, evaluate the potential per domain, and reduce
-    /// the total energy in ascending-gid order. Returns the energy.
+    /// Rebuild ghosts, evaluate the potential per domain, complete
+    /// boundary forces from the reverse force terms, and reduce the
+    /// total energy in ascending-gid order. Returns the energy.
     pub fn compute(&mut self) -> f64 {
         self.exchange_ghosts();
         let pot = self.pot.as_ref();
@@ -185,7 +291,8 @@ impl DecomposedMd {
             dom.out_e.resize(n, 0.0);
             dom.out_f.clear();
             dom.out_f.resize(n, Vec3::ZERO);
-            let Domain { store, loc, out_e, out_f, .. } = dom;
+            dom.terms.clear();
+            let Domain { store, loc, out_e, out_f, terms, .. } = dom;
             let frame = LocalFrame {
                 cell,
                 type_names,
@@ -195,7 +302,7 @@ impl DecomposedMd {
                 owned: &loc.owned,
                 inner: &loc.inner,
             };
-            pot.compute_local(d, &frame, out_e, out_f);
+            pot.compute_local_terms(d, &frame, out_e, out_f, terms);
             for li in 0..loc.len() {
                 let slot = loc.owned_slot[li];
                 if slot != usize::MAX {
@@ -206,7 +313,9 @@ impl DecomposedMd {
                     store.energy[slot] = out_e[li];
                 }
             }
+            dom.route_terms();
         });
+        self.exchange_terms();
         // Fixed-order reduction: scatter per-gid (each gid owned by
         // exactly one domain), then sum ascending.
         for dom in &self.domains {
@@ -265,6 +374,29 @@ impl DecomposedMd {
             }
         });
         e
+    }
+
+    /// Ship every domain's ghost-target terms to their owners, then
+    /// replay each boundary atom's force from its terms in the global
+    /// fold order. A no-op when the potential emits no terms.
+    fn exchange_terms(&mut self) {
+        for (dom, out) in self.domains.iter_mut().zip(&mut self.term_out) {
+            std::mem::swap(&mut dom.term_out, out);
+        }
+        let term_out = &self.term_out;
+        dp_pool::parallel_for_each_mut(&mut self.domains, &|d, dom| {
+            for outbox in term_out {
+                for m in outbox.iter().filter(|m| m.dst == d) {
+                    let slot = dom
+                        .store
+                        .gid
+                        .binary_search(&m.target)
+                        .expect("a term's target is owned by its destination");
+                    dom.replay.push(Replay { slot, centre: m.centre, k: m.k, dv: m.dv });
+                }
+            }
+            dom.replay_boundary();
+        });
     }
 
     /// Move atoms whose wrapped position left their owner's region to
@@ -333,6 +465,8 @@ impl DecomposedMd {
                     if d2 < halo2 {
                         out.push(GhostMsg {
                             dst,
+                            src,
+                            slot: i,
                             gid: store.gid[i],
                             typ: store.typ[i],
                             pos: p,
@@ -343,7 +477,8 @@ impl DecomposedMd {
             }
         });
         // Phase 2: each destination collects its messages and sorts by
-        // gid — the ghost set is then independent of source order.
+        // gid — the ghost set is then independent of source order. Its
+        // own outbox marks which owned atoms are boundary atoms.
         let ghost_out = &self.ghost_out;
         dp_pool::parallel_for_each_mut(&mut self.domains, &|dst, dom| {
             dom.inbox.clear();
@@ -361,6 +496,12 @@ impl DecomposedMd {
                 dom.ghosts.typ.push(m.typ);
                 dom.ghosts.pos.push(m.pos);
                 dom.ghosts.inner.push(m.inner);
+                dom.ghosts.owner.push(m.src);
+            }
+            dom.boundary.clear();
+            dom.boundary.resize(dom.store.len(), false);
+            for msg in &ghost_out[dst] {
+                dom.boundary[msg.slot] = true;
             }
         });
     }

@@ -18,29 +18,40 @@
 //!   position bits, re-exchanged after each position update; atoms
 //!   crossing a face migrate to the new owner.
 //! * [`potential::DomainPotential`] — local evaluation on the merged
-//!   owned+ghost sub-frame: [`potential::LocalSuttonChen`] (per-atom
-//!   EAM) and [`potential::DeepDomainPotential`] (the DeePMD model
-//!   through per-domain `EnvCache`/`ForwardPass`).
+//!   owned+ghost sub-frame under one of two contracts: a `2·cutoff`
+//!   halo with redundant ghost centres ([`potential::LocalSuttonChen`],
+//!   per-atom EAM), or a `cutoff` halo with one evaluation per owned
+//!   centre and reverse force terms ([`potential::DeepDomainPotential`],
+//!   the DeePMD model through `forward_centres`).
 //! * [`engine::DecomposedMd`] — the velocity-Verlet driver: parallel
-//!   per-domain phases over `dp_pool::parallel_for_each_mut`,
-//!   sequential ascending-gid reductions.
+//!   per-domain phases over `dp_pool::parallel_for_each_mut`, a
+//!   reverse-term exchange that sends ghost contributions back to their
+//!   owners, sequential ascending-gid reductions.
 //!
 //! ## Determinism argument (short form; DESIGN §15 has the full one)
 //!
-//! Sub-frames are gid-ascending and hold every atom within `2·rcut` of
+//! Sub-frames are gid-ascending and hold every atom within `halo()` of
 //! the region, positions are the owner's exact bits, and displacements
 //! always go through the global cell's minimum-image map — so every
-//! owned atom sees exactly its global neighbour set, in the global
-//! order, with the global values. Per-atom outputs are therefore
-//! bitwise grid-invariant, and the engine's only cross-domain
-//! reductions (total energy, kinetic energy) run sequentially in
-//! ascending gid order. `dp_pool` distributes whole domains with
-//! disjoint `&mut` access, so thread count cannot reorder anything.
+//! owned centre sees exactly its global neighbour set, in the global
+//! order, with the global values, and its per-atom outputs are bitwise
+//! grid-invariant. Under the `2·cutoff` contract that already covers
+//! every owned force. Under the `cutoff` contract part of a force is
+//! computed by foreign centres: the engine collects every term acting
+//! on an owned atom near a foreign region and folds them in ascending
+//! (centre gid, env entry) order — the order of the global backward
+//! sweep — so the force bits match the single-domain run. The other
+//! cross-domain reductions (total energy, kinetic energy) run
+//! sequentially in ascending gid order. `dp_pool` distributes whole
+//! domains with disjoint `&mut` access, and every received term is
+//! placed by a unique sort key, so thread count cannot reorder
+//! anything.
 //!
 //! The dp-verify `domain` family pins all of this: decomposed vs
 //! single-domain bitwise across grids × thread counts, the cell-list
 //! vs naive neighbour oracle, the per-atom EAM vs the pair-form
-//! reference, and the deep sub-frame path vs `model.predict`.
+//! reference, and the deep sub-frame path vs `model.predict`, static
+//! and over NVE trajectories.
 
 pub mod engine;
 pub mod grid;
@@ -49,7 +60,7 @@ pub mod store;
 
 pub use engine::DecomposedMd;
 pub use grid::DomainGrid;
-pub use potential::{DeepDomainPotential, DomainPotential, LocalFrame, LocalSuttonChen};
+pub use potential::{DeepDomainPotential, DomainPotential, ForceTerm, LocalFrame, LocalSuttonChen};
 pub use store::{DomainStore, GhostStore};
 
 /// Construction-time failures of the decomposed engine.

@@ -3,20 +3,31 @@
 //! A [`DomainPotential`] receives a [`LocalFrame`] — the merged,
 //! gid-ascending owned+ghost view of one domain — and fills per-local-
 //! atom energies and forces. The engine consumes only the owned
-//! entries; ghost outputs are scratch. Two implementations:
+//! entries; ghost outputs are scratch. There are two evaluation
+//! contracts, told apart by [`DomainPotential::halo`]:
 //!
-//! * [`LocalSuttonChen`] — the per-atom form of `dp-mdsim`'s
-//!   Sutton–Chen EAM: densities for every centre-eligible atom, then
-//!   per-owned-atom energy `ε(½Σ φ(r) − c√ρᵢ)` and force, each summed
-//!   over gid-ascending neighbours. Per-atom values are intrinsic
-//!   (they depend only on the atom's ≤ `2·rcut` surroundings, all
-//!   present in the halo), so they are bitwise identical at any grid.
-//! * [`DeepDomainPotential`] — the DeePMD model evaluated through the
-//!   per-domain [`EnvCache`]/`ForwardPass` machinery on the sub-frame;
-//!   owned per-atom residuals and force rows are bitwise equal to the
-//!   single-frame `predict` (see DESIGN §15 for the argument).
+//! * **`2·cutoff` halo (the default): redundant centres.** Every atom
+//!   within `cutoff` of the region has its whole neighbourhood in the
+//!   sub-frame, so the potential can compute each owned atom's force
+//!   completely on its own, recomputing inner ghosts as centres.
+//!   [`LocalSuttonChen`] works this way: densities for every
+//!   centre-eligible atom, then per-owned-atom energy
+//!   `ε(½Σ φ(r) − c√ρᵢ)` and force, each summed over gid-ascending
+//!   neighbours. Per-atom values are intrinsic (they depend only on
+//!   the atom's ≤ `2·rcut` surroundings, all present in the halo), so
+//!   they are bitwise identical at any grid. It emits no force terms.
+//! * **`cutoff` halo: one evaluation per centre.** Only owned atoms
+//!   are centres. A centre's energy depends on its neighbours, some of
+//!   them ghosts, so part of every owned force is computed by foreign
+//!   domains. [`DeepDomainPotential`] works this way: the DeePMD model
+//!   runs `forward_centres` over the owned atoms and reports each
+//!   per-(centre, neighbour) [`ForceTerm`] of the backward sweep; the
+//!   engine ships ghost-target terms to their owners and replays the
+//!   forces of owned atoms near a foreign region in the global fold
+//!   order, so they stay bitwise equal to `model.predict` (DESIGN
+//!   §15.3).
 
-use deepmd_core::env_cache::EnvCache;
+pub use deepmd_core::model::ForceTerm;
 use deepmd_core::model::DeepPotModel;
 use dp_data::dataset::Snapshot;
 use dp_mdsim::cell::Cell;
@@ -42,9 +53,11 @@ pub struct LocalFrame<'a> {
     pub pos: &'a [Vec3],
     /// Owned flag per local atom.
     pub owned: &'a [bool],
-    /// Centre-evaluation flag: owned atoms and ghosts within `cutoff`
-    /// of the region (their intermediate quantities can feed owned
-    /// results; outer ghosts — between `cutoff` and `halo` — cannot).
+    /// Centre-evaluation flag of the `2·cutoff` contract: owned atoms
+    /// and ghosts within `cutoff` of the region (their intermediate
+    /// quantities can feed owned results; outer ghosts — between
+    /// `cutoff` and `halo` — cannot). Under a `cutoff` halo every ghost
+    /// is inner.
     pub inner: &'a [bool],
 }
 
@@ -71,8 +84,10 @@ pub trait DomainPotential: Send + Sync {
     /// its full neighbourhood inside the halo, so its intermediate
     /// values (EAM density, descriptor rows) come out bitwise
     /// identical on every domain that computes them, and no mid-step
-    /// scalar exchange round is needed. Strictly pairwise potentials
-    /// may override this down to `cutoff`.
+    /// scalar exchange round is needed. A potential that overrides
+    /// this down to `cutoff` evaluates owned centres only and must
+    /// report its ghost contributions through
+    /// [`DomainPotential::compute_local_terms`].
     fn halo(&self) -> f64 {
         2.0 * self.cutoff()
     }
@@ -91,6 +106,25 @@ pub trait DomainPotential: Send + Sync {
         energy: &mut [f64],
         forces: &mut [Vec3],
     );
+
+    /// What the engine calls: [`DomainPotential::compute_local`], plus
+    /// the reverse force terms of a `cutoff`-halo potential appended to
+    /// `terms` (local indices, owned centres only, in fold order). Each
+    /// term's `dv` is already folded into `forces` (`+dv` at `j`, `−dv`
+    /// at the centre) before `F = −dE/dr`; the engine replays the terms
+    /// of owned atoms near a foreign region to complete their forces.
+    /// The default, for `2·cutoff` potentials, emits no terms.
+    fn compute_local_terms(
+        &self,
+        domain: usize,
+        frame: &LocalFrame<'_>,
+        energy: &mut [f64],
+        forces: &mut [Vec3],
+        terms: &mut Vec<ForceTerm>,
+    ) {
+        let _ = terms;
+        self.compute_local(domain, frame, energy, forces);
+    }
 
     /// Global energy contribution that is not attributable per atom
     /// (the deep model's type bias). Added once, after the per-atom
@@ -218,54 +252,40 @@ impl DomainPotential for LocalSuttonChen {
     }
 }
 
-/// How many direct-mapped slots each per-domain env cache holds. An MD
-/// driver re-presents a geometry only on retries, so a handful of
-/// slots suffices; the geometry-hash check keeps any size correct.
-const CACHE_SLOTS: usize = 4;
-
-/// The DeePMD model evaluated per domain through `EnvCache` +
-/// `ForwardPass` on the local sub-frame.
+/// The DeePMD model evaluated once per owned centre on the local
+/// sub-frame, on the `cutoff`-halo contract.
 ///
-/// Owned rows of the result are bitwise equal to `model.predict` on
-/// the assembled global frame: the sub-frame holds every atom within
-/// `2·rcut` of the region in ascending gid order, so each owned (and
-/// inner-ghost) centre sees exactly its global environment rows in the
-/// global order, and the backward accumulates into each owned atom the
-/// same contribution sequence as the global pass (outer-ghost centres
-/// are ≥ `rcut` from every owned atom and never touch them).
+/// The sub-frame holds every atom within `rcut` of the region in
+/// ascending gid order, so each owned centre sees exactly its global
+/// environment rows in the global order: per-atom residuals are
+/// bitwise those of `model.predict`. The backward sweep folds the
+/// owned centres' terms into the local forces, which is final for an
+/// atom no foreign centre can see; the engine completes the rest from
+/// the reported terms (DESIGN §15.3).
 pub struct DeepDomainPotential {
     model: DeepPotModel,
-    caches: Vec<EnvCache>,
 }
 
 impl DeepDomainPotential {
-    /// Wrap `model` with one env cache per domain.
+    /// Wrap `model`. The potential keeps no per-domain state, so
+    /// `n_domains` only documents the grid it is meant for.
     pub fn new(model: DeepPotModel, n_domains: usize) -> Self {
-        let caches = (0..n_domains.max(1)).map(|_| EnvCache::new(CACHE_SLOTS)).collect();
-        DeepDomainPotential { model, caches }
+        let _ = n_domains;
+        DeepDomainPotential { model }
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &DeepPotModel {
         &self.model
     }
-}
 
-impl DomainPotential for DeepDomainPotential {
-    fn cutoff(&self) -> f64 {
-        self.model.cfg.rcut
-    }
-
-    fn name(&self) -> &'static str {
-        "deep-pot/local"
-    }
-
-    fn compute_local(
+    /// Owned-centre forward and backward; `on_term` sees every term.
+    fn evaluate(
         &self,
-        domain: usize,
         frame: &LocalFrame<'_>,
         energy: &mut [f64],
         forces: &mut [Vec3],
+        on_term: impl FnMut(&ForceTerm),
     ) {
         if frame.is_empty() {
             return;
@@ -279,13 +299,50 @@ impl DomainPotential for DeepDomainPotential {
             forces: Vec::new(),
             temperature: 0.0,
         };
-        let cache = &self.caches[domain % self.caches.len()];
-        let pass = self.model.forward_keyed(cache, &snap);
-        let f = self.model.forces(&pass);
-        for i in 0..frame.len() {
-            energy[i] = pass.atom_energy_residual(i);
-            forces[i] = f[i];
+        let centres: Vec<usize> = (0..frame.len()).filter(|&i| frame.owned[i]).collect();
+        let pass = self.model.forward_centres(&snap, &centres);
+        for (c, &i) in centres.iter().enumerate() {
+            energy[i] = pass.atom_energy_residual(c);
         }
+        self.model.forces_into(&pass, forces, on_term);
+    }
+}
+
+impl DomainPotential for DeepDomainPotential {
+    fn cutoff(&self) -> f64 {
+        self.model.cfg.rcut
+    }
+
+    fn halo(&self) -> f64 {
+        self.cutoff()
+    }
+
+    fn name(&self) -> &'static str {
+        "deep-pot/local"
+    }
+
+    /// Energies are final; forces of owned atoms within `cutoff` of a
+    /// foreign region lack the foreign centres' terms (the engine calls
+    /// [`DomainPotential::compute_local_terms`] instead).
+    fn compute_local(
+        &self,
+        _domain: usize,
+        frame: &LocalFrame<'_>,
+        energy: &mut [f64],
+        forces: &mut [Vec3],
+    ) {
+        self.evaluate(frame, energy, forces, |_| {});
+    }
+
+    fn compute_local_terms(
+        &self,
+        _domain: usize,
+        frame: &LocalFrame<'_>,
+        energy: &mut [f64],
+        forces: &mut [Vec3],
+        terms: &mut Vec<ForceTerm>,
+    ) {
+        self.evaluate(frame, energy, forces, |t| terms.push(*t));
     }
 
     fn energy_offset(&self, types: &[usize]) -> f64 {

@@ -147,6 +147,8 @@ pub struct GhostStore {
     /// must evaluate these as centres (e.g. EAM densities) because
     /// they can be neighbours of owned atoms.
     pub inner: Vec<bool>,
+    /// Owning domain (where reverse force terms for this ghost go).
+    pub owner: Vec<usize>,
 }
 
 impl GhostStore {
@@ -166,6 +168,7 @@ impl GhostStore {
         self.typ.clear();
         self.pos.clear();
         self.inner.clear();
+        self.owner.clear();
     }
 }
 
@@ -185,6 +188,8 @@ pub struct LocalArrays {
     pub inner: Vec<bool>,
     /// Local index → owned-store slot (`usize::MAX` for ghosts).
     pub owned_slot: Vec<usize>,
+    /// Local index → owning domain of a ghost (`usize::MAX` for owned).
+    pub owner: Vec<usize>,
 }
 
 impl LocalArrays {
@@ -207,6 +212,7 @@ impl LocalArrays {
         self.owned.clear();
         self.inner.clear();
         self.owned_slot.clear();
+        self.owner.clear();
         let (mut a, mut b) = (0, 0);
         while a < store.len() || b < ghosts.len() {
             let take_owned = b >= ghosts.len() || (a < store.len() && store.gid[a] < ghosts.gid[b]);
@@ -217,6 +223,7 @@ impl LocalArrays {
                 self.owned.push(true);
                 self.inner.push(true);
                 self.owned_slot.push(a);
+                self.owner.push(usize::MAX);
                 a += 1;
             } else {
                 self.gids.push(ghosts.gid[b]);
@@ -225,6 +232,7 @@ impl LocalArrays {
                 self.owned.push(false);
                 self.inner.push(ghosts.inner[b]);
                 self.owned_slot.push(usize::MAX);
+                self.owner.push(ghosts.owner[b]);
                 b += 1;
             }
         }
@@ -262,11 +270,13 @@ mod tests {
         g.typ.extend([0, 0, 0]);
         g.pos.extend([Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0), Vec3::new(7.0, 0.0, 0.0)]);
         g.inner.extend([true, false, true]);
+        g.owner.extend([3, 1, 2]);
         let mut loc = LocalArrays::default();
         loc.rebuild(&s, &g);
         assert_eq!(loc.gids, vec![0, 1, 2, 4, 7]);
         assert_eq!(loc.owned, vec![false, true, false, true, false]);
         assert_eq!(loc.inner, vec![true, true, false, true, true]);
         assert_eq!(loc.owned_slot, vec![usize::MAX, 0, usize::MAX, 1, usize::MAX]);
+        assert_eq!(loc.owner, vec![3, usize::MAX, 1, usize::MAX, 2]);
     }
 }

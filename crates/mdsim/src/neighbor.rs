@@ -114,6 +114,50 @@ impl NeighborList {
         );
     }
 
+    /// Full neighbour lists of the `centres` only (atom indices, in the
+    /// given order), every atom of `pos` eligible as a neighbour. Entry
+    /// `c` is bitwise [`NeighborList::build`]'s list of atom
+    /// `centres[c]` — same dispatch, same ascending order, same
+    /// `min_image` bits — without paying for the lists of non-centres
+    /// (the domain engine's ghosts).
+    ///
+    /// # Panics
+    /// Same cutoff precondition as [`NeighborList::build`].
+    pub fn full_lists_for(
+        cell: &Cell,
+        pos: &[Vec3],
+        cutoff: f64,
+        centres: &[usize],
+    ) -> Vec<Vec<Neighbor>> {
+        Self::check_cutoff(cell, cutoff);
+        let cut2 = cutoff * cutoff;
+        if cutoff > 0.0 && cell.min_length() >= 3.0 * cutoff {
+            let bins = Bins::new(cell, pos, cutoff);
+            centres
+                .iter()
+                .map(|&i| {
+                    let mut cand = Vec::new();
+                    bins.candidates(cell, pos, i, cut2, &mut cand);
+                    cand
+                })
+                .collect()
+        } else {
+            centres
+                .iter()
+                .map(|&i| {
+                    (0..pos.len())
+                        .filter(|&j| j != i)
+                        .filter_map(|j| {
+                            let rij = cell.min_image(&pos[i], &pos[j]);
+                            let d2 = rij.norm2();
+                            (d2 < cut2 && d2 > 0.0).then(|| Neighbor { j, rij, dist: d2.sqrt() })
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+    }
+
     /// Linked-cell construction. Precondition (checked by the caller):
     /// `min_length >= 3 * cutoff`, which guarantees at least three bins
     /// per axis so the 27-stencil visits each bin at most once.
@@ -124,57 +168,19 @@ impl NeighborList {
     /// exactly antisymmetric (round ties away from zero), so the output
     /// is bit-for-bit the naive scan's.
     fn build_cells_impl(cell: &Cell, pos: &[Vec3], cutoff: f64) -> Self {
-        let n = pos.len();
         let mut pairs = Vec::new();
-        let mut full: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+        let mut full: Vec<Vec<Neighbor>> = vec![Vec::new(); pos.len()];
         let cut2 = cutoff * cutoff;
-
-        let lens = cell.lengths();
-        let nbin: [usize; 3] = std::array::from_fn(|k| ((lens[k] / cutoff).floor() as usize).max(1));
-        debug_assert!(nbin.iter().all(|&b| b >= 3), "caller must ensure >= 3 bins per axis");
-        let bin_of = |r: &Vec3| -> [usize; 3] {
-            let w = cell.wrap(r);
-            std::array::from_fn(|k| {
-                let b = (w.0[k] / lens[k] * nbin[k] as f64).floor() as usize;
-                b.min(nbin[k] - 1)
-            })
-        };
-        let idx = |b: &[usize; 3]| (b[0] * nbin[1] + b[1]) * nbin[2] + b[2];
-        let mut bins: Vec<Vec<usize>> = vec![Vec::new(); nbin[0] * nbin[1] * nbin[2]];
-        for (i, p) in pos.iter().enumerate() {
-            bins[idx(&bin_of(p))].push(i);
-        }
+        let bins = Bins::new(cell, pos, cutoff);
         let mut cand: Vec<Neighbor> = Vec::new();
-        for (i, p) in pos.iter().enumerate() {
-            let b = bin_of(p);
-            cand.clear();
-            for dx in -1i64..=1 {
-                for dy in -1i64..=1 {
-                    for dz in -1i64..=1 {
-                        let nb: [usize; 3] = std::array::from_fn(|k| {
-                            let d = [dx, dy, dz][k];
-                            ((b[k] as i64 + d).rem_euclid(nbin[k] as i64)) as usize
-                        });
-                        for &j in &bins[idx(&nb)] {
-                            if j == i {
-                                continue;
-                            }
-                            let rij = cell.min_image(p, &pos[j]);
-                            let d2 = rij.norm2();
-                            if d2 < cut2 && d2 > 0.0 {
-                                cand.push(Neighbor { j, rij, dist: d2.sqrt() });
-                            }
-                        }
-                    }
-                }
-            }
-            cand.sort_unstable_by_key(|nb| nb.j);
+        for (i, list) in full.iter_mut().enumerate() {
+            bins.candidates(cell, pos, i, cut2, &mut cand);
             for nb in &cand {
                 if nb.j > i {
                     pairs.push(Pair { i, j: nb.j, rij: nb.rij, dist: nb.dist });
                 }
             }
-            full[i].extend_from_slice(&cand);
+            list.extend_from_slice(&cand);
         }
         NeighborList { cutoff, pairs, full }
     }
@@ -202,6 +208,70 @@ impl NeighborList {
     /// Maximum neighbour count over all atoms.
     pub fn max_neighbors(&self) -> usize {
         self.full.iter().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// Linked-cell bins of a configuration: at least three per axis (the
+/// caller checks `min_length >= 3 * cutoff`), so the 27-stencil visits
+/// each bin at most once.
+struct Bins {
+    lens: [f64; 3],
+    nbin: [usize; 3],
+    bins: Vec<Vec<usize>>,
+}
+
+impl Bins {
+    fn new(cell: &Cell, pos: &[Vec3], cutoff: f64) -> Self {
+        let lens = cell.lengths();
+        let nbin: [usize; 3] = std::array::from_fn(|k| ((lens[k] / cutoff).floor() as usize).max(1));
+        debug_assert!(nbin.iter().all(|&b| b >= 3), "caller must ensure >= 3 bins per axis");
+        let mut b = Bins { lens, nbin, bins: vec![Vec::new(); nbin[0] * nbin[1] * nbin[2]] };
+        for (i, p) in pos.iter().enumerate() {
+            let k = b.idx(&b.bin_of(cell, p));
+            b.bins[k].push(i);
+        }
+        b
+    }
+
+    fn bin_of(&self, cell: &Cell, r: &Vec3) -> [usize; 3] {
+        let w = cell.wrap(r);
+        std::array::from_fn(|k| {
+            let b = (w.0[k] / self.lens[k] * self.nbin[k] as f64).floor() as usize;
+            b.min(self.nbin[k] - 1)
+        })
+    }
+
+    fn idx(&self, b: &[usize; 3]) -> usize {
+        (b[0] * self.nbin[1] + b[1]) * self.nbin[2] + b[2]
+    }
+
+    /// Replace `cand` with atom `i`'s neighbours within `sqrt(cut2)`
+    /// from the 27 surrounding bins, sorted ascending by index.
+    fn candidates(&self, cell: &Cell, pos: &[Vec3], i: usize, cut2: f64, cand: &mut Vec<Neighbor>) {
+        let p = &pos[i];
+        let b = self.bin_of(cell, p);
+        cand.clear();
+        for dx in -1i64..=1 {
+            for dy in -1i64..=1 {
+                for dz in -1i64..=1 {
+                    let nb: [usize; 3] = std::array::from_fn(|k| {
+                        let d = [dx, dy, dz][k];
+                        ((b[k] as i64 + d).rem_euclid(self.nbin[k] as i64)) as usize
+                    });
+                    for &j in &self.bins[self.idx(&nb)] {
+                        if j == i {
+                            continue;
+                        }
+                        let rij = cell.min_image(p, &pos[j]);
+                        let d2 = rij.norm2();
+                        if d2 < cut2 && d2 > 0.0 {
+                            cand.push(Neighbor { j, rij, dist: d2.sqrt() });
+                        }
+                    }
+                }
+            }
+        }
+        cand.sort_unstable_by_key(|nb| nb.j);
     }
 }
 
@@ -277,6 +347,38 @@ mod tests {
         let naive = NeighborList::build_naive(&s.cell, &s.pos, cutoff);
         assert!(!fast.pairs().is_empty());
         assert_bitwise_eq(&fast, &naive);
+    }
+
+    #[test]
+    fn centre_lists_equal_the_full_build_bitwise() {
+        // Both dispatch paths: a wide box (cell list) and a narrow one
+        // (scan), centres a strided subset in shuffled order.
+        for (reps, cutoff) in [([4, 4, 4], 4.5), ([2, 2, 2], 3.0)] {
+            let mut s = fcc(Species::new("Cu", 63.5), 3.6, reps);
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for p in &mut s.pos {
+                for k in 0..3 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    p.0[k] += 0.3 * ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+                }
+            }
+            let full = NeighborList::build(&s.cell, &s.pos, cutoff);
+            let mut centres: Vec<usize> = (0..s.n_atoms()).step_by(3).collect();
+            centres.reverse();
+            let lists = NeighborList::full_lists_for(&s.cell, &s.pos, cutoff, &centres);
+            assert_eq!(lists.len(), centres.len());
+            for (&i, list) in centres.iter().zip(&lists) {
+                let want = full.neighbors_of(i);
+                assert_eq!(list.len(), want.len(), "centre {i}");
+                for (a, b) in list.iter().zip(want) {
+                    assert_eq!(a.j, b.j, "centre {i}");
+                    assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "centre {i}");
+                    for k in 0..3 {
+                        assert_eq!(a.rij.0[k].to_bits(), b.rij.0[k].to_bits(), "centre {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,12 @@
 //! * `deep/decomposed_vs_predict` — the DeePMD model evaluated through
 //!   per-domain sub-frames (`DeepDomainPotential`) vs a plain global
 //!   `model.predict`, bitwise across grids: the halo construction must
-//!   hand every owned atom exactly its global environment.
+//!   hand every owned atom exactly its global environment, and the
+//!   reverse force terms must come back to their owners and be
+//!   replayed in the global fold order.
+//! * `deep/trajectory_grid_invariant` — the same deep path over an NVE
+//!   run with migration, bitwise across the grid × thread matrix: the
+//!   reverse-term exchange runs every step here.
 //! * `neighbor/celllist_vs_naive` — the linked-cell neighbour search vs
 //!   the `O(N²)` minimum-image scan, bitwise on pairs and full lists
 //!   (the dispatch inside `NeighborList::build` is only sound because
@@ -191,9 +196,10 @@ pub fn sc_vs_pair_form(seed: u64, _profile: Profile) -> VerifyCheck {
 }
 
 /// The DeePMD model through per-domain sub-frames vs a plain global
-/// `predict`: bitwise. This is where the halo radius (`2·rcut`), the
-/// gid-ascending sub-frame order, and the exact-position-bits ghost
-/// rule all earn their keep — any slip shows up as a flipped bit here.
+/// `predict`: bitwise. This is where the `rcut` halo, the gid-ascending
+/// sub-frame order, the exact-position-bits ghost rule, and the ordered
+/// replay of reverse force terms all earn their keep — any slip shows
+/// up as a flipped bit here.
 pub fn deep_decomposed_vs_predict(seed: u64, profile: Profile) -> VerifyCheck {
     let mut check = Check::new(
         "domain",
@@ -245,6 +251,69 @@ pub fn deep_decomposed_vs_predict(seed: u64, profile: Profile) -> VerifyCheck {
             });
         }
     }
+    dp_pool::set_threads(saved_threads);
+    check.finish()
+}
+
+/// The deep path over whole NVE trajectories, bitwise grid- and
+/// thread-invariant: each step migrates, re-ghosts, and ships reverse
+/// force terms to their owners, so an ordering slip anywhere in the
+/// term exchange compounds into a diverged trajectory.
+pub fn deep_trajectory_grid_invariant(seed: u64, profile: Profile) -> VerifyCheck {
+    let mut check = Check::new(
+        "domain",
+        "deep/trajectory_grid_invariant",
+        &["dp-domain", "deepmd-core", "dp-pool"],
+        0.0,
+    );
+    let saved_threads = dp_pool::current_threads();
+    let (model, _frames) = crate::gen::system_model(PaperSystem::Cu, seed.wrapping_add(4), 2);
+    let state = cu_state([1, 1, 1], seed.wrapping_add(5));
+    let steps = profile.domain_steps();
+    // Positions and velocities can absorb a last-bit force error (the
+    // kick scales it far below their ulp), so the final forces are
+    // compared too.
+    let run = |dims: [usize; 3], threads: usize| -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>, f64, usize) {
+        dp_pool::set_threads(threads);
+        let n_domains = dims[0] * dims[1] * dims[2];
+        let pot = Box::new(DeepDomainPotential::new(model.clone(), n_domains));
+        let mut eng = DecomposedMd::new(&state, pot, dims).expect("decompose Cu cell");
+        let owners: Vec<Option<usize>> = (0..eng.n_atoms()).map(|g| eng.owner_of(g)).collect();
+        let mut e = 0.0;
+        for _ in 0..steps {
+            e = eng.step_nve(1.0);
+        }
+        eng.assert_invariants();
+        let migrated = (0..eng.n_atoms()).filter(|&g| eng.owner_of(g) != owners[g]).count();
+        let s = eng.gather();
+        (s.pos, s.vel, eng.forces(), e, migrated)
+    };
+    let (p_ref, v_ref, f_ref, e_ref, _) = run([1, 1, 1], 1);
+    let mut migrated = 0;
+    for &dims in profile.domain_grids() {
+        for &threads in profile.domain_threads() {
+            let (p, v, f, e, m) = run(dims, threads);
+            migrated += m;
+            check.exact(e.to_bits() == e_ref.to_bits(), || {
+                format!(
+                    "grid {dims:?} threads {threads}: energy after {steps} steps \
+                     {e:.17e} vs {e_ref:.17e}"
+                )
+            });
+            check.exact(bits_eq(&p, &p_ref), || {
+                format!("grid {dims:?} threads {threads}: positions diverged after {steps} steps")
+            });
+            check.exact(bits_eq(&v, &v_ref), || {
+                format!("grid {dims:?} threads {threads}: velocities diverged after {steps} steps")
+            });
+            check.exact(bits_eq(&f, &f_ref), || {
+                format!("grid {dims:?} threads {threads}: forces differ after {steps} steps")
+            });
+        }
+    }
+    check.exact(migrated > 0, || {
+        format!("no atom crossed a domain face in {steps} steps: the check lost its migrations")
+    });
     dp_pool::set_threads(saved_threads);
     check.finish()
 }
@@ -305,6 +374,7 @@ pub fn run(seed: u64, profile: Profile) -> Vec<VerifyCheck> {
         sc_trajectory_grid_invariant(seed, profile),
         sc_vs_pair_form(seed, profile),
         deep_decomposed_vs_predict(seed, profile),
+        deep_trajectory_grid_invariant(seed, profile),
         celllist_vs_naive(seed, profile),
     ]
 }
