@@ -3,9 +3,8 @@
 //! The perf gate (ISSUE 2) wants the kernel benchmarks to leave a
 //! committed trajectory, so every record carries the knobs that decide
 //! the number — shape and thread count — plus the median so one noisy
-//! sample cannot move the baseline. The vendored `serde` shim has no
-//! `serde_json`, so the emitter below writes the (flat, numeric) schema
-//! by hand:
+//! sample cannot move the baseline. The workspace has no JSON library,
+//! so the emitter below writes the (flat, numeric) schema by hand:
 //!
 //! ```json
 //! {
@@ -329,8 +328,7 @@ impl VerifyReport {
         out
     }
 
-    /// Serialize to JSON (same hand-rolled emitter as [`BenchReport`]:
-    /// the vendored serde shim has no `serde_json`).
+    /// Serialize to JSON (same hand-rolled emitter as [`BenchReport`]).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

@@ -24,10 +24,9 @@
 use dp_tensor::kernel;
 use dp_tensor::Mat;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Layer flavour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LayerKind {
     /// `y = tanh(xW + b)`.
     Tanh,
@@ -38,7 +37,7 @@ pub enum LayerKind {
 }
 
 /// One dense layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Layer {
     /// Weight matrix, `in × out`.
     pub w: Mat,
@@ -56,7 +55,7 @@ impl Layer {
 }
 
 /// A feed-forward network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     /// The layers, applied in order.
     pub layers: Vec<Layer>,

@@ -34,7 +34,6 @@ use dp_tensor::kernel;
 use dp_tensor::Mat;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Model output for one frame.
@@ -65,7 +64,7 @@ impl ModelGrads {
 }
 
 /// The Deep Potential model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeepPotModel {
     /// Hyper-parameters.
     pub cfg: ModelConfig,

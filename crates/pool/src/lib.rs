@@ -1,5 +1,5 @@
-//! dp-pool — the deterministic work-sharing thread pool behind the
-//! workspace's `rayon` shim.
+//! dp-pool — the deterministic work-sharing thread pool, and the one
+//! data-parallel API of the workspace.
 //!
 //! Design constraints, in order:
 //!
@@ -25,6 +25,16 @@
 //! Nested regions (a task submitting another region) run inline on the
 //! submitting worker: the inner region computes with the same fixed block
 //! structure, so inlining is invisible to results.
+//!
+//! On top of [`parallel_for`] sit the data-parallel entry points the
+//! kernels use: [`parallel_chunks_mut`] (disjoint `&mut` chunks) and
+//! [`map_reduce`] (an ordered reduction). Both split their input into
+//! at most 64 blocks of `block_len = ceil(len/64)` items —
+//! boundaries that depend on the length alone — fold each block in index
+//! order, and combine block partials in block order on the submitting
+//! thread. Which worker runs which block is the only scheduling freedom,
+//! so `DP_POOL_THREADS=1`, `=2` and `=8` give bit-identical sums,
+//! gradients, weights and checkpoints.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -363,36 +373,111 @@ fn run_region(
     }
 }
 
-/// Run `body(i, &mut items[i])` for every element, distributing over
-/// the pool. Blocks until all tasks completed.
-///
-/// The per-domain building block of `dp-domain`: each task gets
-/// exclusive `&mut` access to its own element (safe because
-/// [`parallel_for`] claims every index exactly once, so the mutable
-/// borrows are provably disjoint), letting a 3D grid of domain states
-/// be advanced in place without interior mutability or cloning. All
-/// [`parallel_for`] guarantees carry over — in particular the outcome
-/// is independent of the thread count and of index-to-worker
-/// assignment whenever the per-element effects are disjoint.
-pub fn parallel_for_each_mut<T: Send>(items: &mut [T], body: &(dyn Fn(usize, &mut T) + Sync)) {
+/// Number of blocks a data-parallel region is split into. Fixed, so
+/// block boundaries — and with them every floating-point combination
+/// order — are a function of the item count alone. 64 blocks keep
+/// dispatch overhead negligible while letting any plausible worker count
+/// balance load (blocks are claimed dynamically).
+const MAX_BLOCKS: usize = 64;
+
+/// Items per block for a region of `len` items: `ceil(len/64)`, ≥ 1.
+fn block_len(len: usize) -> usize {
+    len.div_ceil(MAX_BLOCKS).max(1)
+}
+
+/// The disjoint-`&mut` distributor behind every mutable region: task
+/// `t` runs `body(t, &mut items[t·span .. min((t+1)·span, len)])`.
+fn for_spans_mut<T: Send>(items: &mut [T], span: usize, body: &(dyn Fn(usize, &mut [T]) + Sync)) {
     struct Base<T>(*mut T);
-    // SAFETY: the pointer is only dereferenced at distinct offsets by
-    // distinct tasks (exactly-once index claim), and `T: Send` lets the
-    // resulting `&mut T` cross threads.
+    // SAFETY: the pointer is only dereferenced over the disjoint span of
+    // one task index, each claimed exactly once, and `T: Send` lets the
+    // resulting `&mut [T]` cross threads.
     unsafe impl<T: Send> Sync for Base<T> {}
+    let len = items.len();
     let base = Base(items.as_mut_ptr());
     // Capture the Sync wrapper itself, not its raw-pointer field
     // (edition-2021 closures capture field paths).
     let base = &base;
-    let n = items.len();
-    parallel_for(n, &|i| {
-        debug_assert!(i < n);
-        // SAFETY: `i` is claimed exactly once per region, so no two
-        // tasks alias this element; the slice outlives the region
+    parallel_for(len.div_ceil(span), &|t| {
+        let s = t * span;
+        let e = (s + span).min(len);
+        // SAFETY: spans of distinct task indices are disjoint and each
+        // index runs once per region; the slice outlives the region
         // because `parallel_for` blocks until completion.
-        let item = unsafe { &mut *base.0.add(i) };
-        body(i, item);
+        let part = unsafe { std::slice::from_raw_parts_mut(base.0.add(s), e - s) };
+        body(t, part);
     });
+}
+
+/// Run `body(i, &mut items[i])` for every element, distributing over
+/// the pool, one task per element. Blocks until all tasks completed.
+///
+/// The per-domain building block of `dp-domain`: each task gets
+/// exclusive `&mut` access to its own element, letting a 3D grid of
+/// domain states be advanced in place without interior mutability or
+/// cloning. All [`parallel_for`] guarantees carry over — in particular
+/// the outcome is independent of the thread count and of
+/// index-to-worker assignment whenever the per-element effects are
+/// disjoint.
+pub fn parallel_for_each_mut<T: Send>(items: &mut [T], body: &(dyn Fn(usize, &mut T) + Sync)) {
+    for_spans_mut(items, 1, &|i, one| body(i, &mut one[0]));
+}
+
+/// Run `body(c, chunk)` for every `chunk`-long piece of `items` (the
+/// last may be shorter; `c` is the chunk index), distributing over the
+/// pool. Blocks until all tasks completed.
+///
+/// Chunks are grouped into at most 64 blocks of consecutive
+/// chunks; a block's chunks run in ascending order on one worker. Each
+/// chunk is borrowed exactly once, so `body` may write its chunk
+/// freely — the GEMM/GEMV row groups and the fused `P` update use this.
+///
+/// # Panics
+/// Panics if `chunk == 0`.
+pub fn parallel_chunks_mut<T: Send>(
+    items: &mut [T],
+    chunk: usize,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(chunk > 0, "parallel_chunks_mut: chunk size must be positive");
+    let per_block = block_len(items.len().div_ceil(chunk));
+    for_spans_mut(items, per_block * chunk, &|b, span| {
+        for (j, c) in span.chunks_mut(chunk).enumerate() {
+            body(b * per_block + j, c);
+        }
+    });
+}
+
+/// Ordered map/reduce over the indices `0..len`.
+///
+/// Each block folds its indices in ascending order starting from
+/// `identity()`; the block partials are then combined in block order,
+/// again starting from `identity()`:
+/// `combine(…combine(combine(identity(), p₀), p₁)…, p_last)`. The
+/// grouping is fixed by `len`, so the result is thread-count-invariant
+/// even for non-associative floating-point `fold`/`combine`. `len == 0`
+/// returns `identity()`. Partials live on the stack: the region itself
+/// allocates nothing.
+pub fn map_reduce<A: Send>(
+    len: usize,
+    identity: impl Fn() -> A + Sync,
+    fold: impl Fn(A, usize) -> A + Sync,
+    combine: impl Fn(A, A) -> A,
+) -> A {
+    if len == 0 {
+        return identity();
+    }
+    let bl = block_len(len);
+    let nb = len.div_ceil(bl);
+    let mut partials: [Option<A>; MAX_BLOCKS] = std::array::from_fn(|_| None);
+    for_spans_mut(&mut partials[..nb], 1, &|b, slot| {
+        let s = b * bl;
+        let e = (s + bl).min(len);
+        slot[0] = Some((s..e).fold(identity(), &fold));
+    });
+    partials[..nb].iter_mut().fold(identity(), |acc, p| {
+        combine(acc, p.take().expect("every block writes its partial"))
+    })
 }
 
 /// True when called from inside a pool task (useful for diagnostics).
@@ -548,6 +633,139 @@ mod tests {
         });
         assert_eq!(c.load(Ordering::Relaxed), 300);
         assert_eq!(current_threads(), 1);
+    }
+
+    #[test]
+    fn map_reduce_matches_sequential() {
+        let _g = LOCK.lock().unwrap();
+        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let par = map_reduce(xs.len(), || -0.0, |acc, i| acc + xs[i] * 2.0, |a, b| a + b);
+        let seq: f64 = xs.iter().map(|&x| x * 2.0).sum();
+        assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn map_reduce_tuple_with_identity() {
+        let _g = LOCK.lock().unwrap();
+        let xs = [1.0_f64, 2.0, 3.0];
+        let (sum, cnt) = map_reduce(
+            xs.len(),
+            || (0.0, 0usize),
+            |(a, n), i| (a + xs[i], n + 1),
+            |(a, n), (b, m)| (a + b, n + m),
+        );
+        assert_eq!(sum, 6.0);
+        assert_eq!(cnt, 3);
+    }
+
+    /// Blocks fold in ascending index order and partials combine in
+    /// block order: a non-commutative reduction comes out in index
+    /// order at every thread count.
+    #[test]
+    fn map_reduce_preserves_order() {
+        let _g = LOCK.lock().unwrap();
+        for threads in [1, 2, 8] {
+            set_threads(threads);
+            for len in [1usize, 63, 64, 65, 1000] {
+                let out = map_reduce(
+                    len,
+                    Vec::new,
+                    |mut v, i| {
+                        v.push(i);
+                        v
+                    },
+                    |mut a, b| {
+                        a.extend(b);
+                        a
+                    },
+                );
+                assert_eq!(out, (0..len).collect::<Vec<_>>(), "len {len} at {threads} threads");
+            }
+        }
+        set_threads(1);
+    }
+
+    /// The determinism contract: floating-point reductions are
+    /// bit-identical for every thread count, because block boundaries
+    /// depend only on the length.
+    #[test]
+    fn reductions_are_bitwise_invariant_across_thread_counts() {
+        let _g = LOCK.lock().unwrap();
+        let xs: Vec<f64> = (0..100_000)
+            .map(|i| ((i as f64) * 0.618).sin() * 1e-3 + 1e-9 * i as f64)
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.cos()).collect();
+        let run = |threads: usize| -> (u64, u64, u64) {
+            set_threads(threads);
+            let s = map_reduce(xs.len(), || -0.0, |a, i| a + xs[i] * 1.000000119, |a, b| a + b);
+            let dot = map_reduce(xs.len(), || -0.0, |a, i| a + xs[i] * ys[i], |a, b| a + b);
+            let r = map_reduce(
+                xs.len(),
+                || (0.0, 0.0),
+                |a, i| (a.0 + xs[i] * 3.0, a.1 + 1.0),
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            );
+            (s.to_bits(), dot.to_bits(), r.0.to_bits())
+        };
+        let a = run(1);
+        let b = run(2);
+        let c = run(8);
+        set_threads(1);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn empty_inputs() {
+        let _g = LOCK.lock().unwrap();
+        let s = map_reduce(0, || -0.0, |a: f64, _| a + 1.0, |a, b| a + b);
+        assert_eq!(s.to_bits(), (-0.0f64).to_bits());
+        let r = map_reduce(0, || -1.0, |a: f64, _| a + 1.0, |a, b| a + b);
+        assert_eq!(r, -1.0);
+        let mut none: Vec<f64> = Vec::new();
+        parallel_chunks_mut(&mut none, 3, |_, _| panic!("no chunk to visit"));
+        parallel_for_each_mut(&mut none, &|_, _| panic!("no element to visit"));
+    }
+
+    #[test]
+    fn chunks_mut_index_each_chunk() {
+        let _g = LOCK.lock().unwrap();
+        let mut v = vec![0.0; 6];
+        parallel_chunks_mut(&mut v, 2, |i, row| {
+            for x in row.iter_mut() {
+                *x = i as f64;
+            }
+        });
+        assert_eq!(v, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
+    }
+
+    /// Every element is visited exactly once, through the chunk that
+    /// holds it, for chunk counts below, at and above the block count
+    /// and with a short last chunk.
+    #[test]
+    fn chunks_mut_cover_every_element_once() {
+        let _g = LOCK.lock().unwrap();
+        for threads in [1, 2, 8] {
+            set_threads(threads);
+            for (len, chunk) in [(1usize, 1usize), (7, 3), (64, 1), (65, 1), (1000, 7), (4096, 4)] {
+                let mut v = vec![0usize; len];
+                parallel_chunks_mut(&mut v, chunk, |c, part| {
+                    assert!(
+                        part.len() == chunk || (c + 1) * chunk >= len,
+                        "only the last chunk is short"
+                    );
+                    for (k, x) in part.iter_mut().enumerate() {
+                        *x += c * chunk + k + 1;
+                    }
+                });
+                assert_eq!(
+                    v,
+                    (1..=len).collect::<Vec<_>>(),
+                    "len {len} chunk {chunk} at {threads} threads"
+                );
+            }
+        }
+        set_threads(1);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 
 use crate::backend;
 use crate::kernel;
-use rayon::prelude::*;
 
-/// Work threshold before a reduction is split across rayon workers.
+/// Work threshold before a reduction is split across pool workers.
 const PAR_LEN_THRESHOLD: usize = 1 << 16;
 
 /// Dot product `x · y` with a *strict left-to-right fold* (parallelized
@@ -30,7 +29,9 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     kernel::launch("dot");
     if x.len() >= PAR_LEN_THRESHOLD {
-        x.par_iter().zip(y.par_iter()).map(|(a, b)| a * b).sum()
+        // `-0.0` is the identity `f64: Sum` folds from, so each block
+        // and the block-order combine match the sequential fold's form.
+        dp_pool::map_reduce(x.len(), || -0.0, |acc, i| acc + x[i] * y[i], |a, b| a + b)
     } else {
         x.iter().zip(y).map(|(a, b)| a * b).sum()
     }

@@ -7,7 +7,6 @@
 //! into every worker executing one of the region's tasks.
 
 use dp_tensor::kernel;
-use rayon::prelude::*;
 
 #[test]
 fn fused_scope_spans_pool_workers() {
@@ -20,14 +19,17 @@ fn fused_scope_spans_pool_workers() {
 
     let xs: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
     let sum: f64 = kernel::fused("fused_parallel_region", || {
-        xs.par_iter()
-            .map(|&x| {
+        dp_pool::map_reduce(
+            xs.len(),
+            || -0.0,
+            |acc, i| {
                 // A primitive launched from whichever thread runs this
                 // task — must be attributed to the enclosing fused scope.
                 kernel::launch("inner_primitive");
-                x * 2.0
-            })
-            .sum()
+                acc + xs[i] * 2.0
+            },
+            |a, b| a + b,
+        )
     });
 
     assert_eq!(sum, xs.iter().map(|&x| x * 2.0).sum::<f64>());
@@ -43,7 +45,15 @@ fn fused_scope_spans_pool_workers() {
     // Outside the scope, and after the region, counting is primitive-wise
     // again — the workers' context was reset when the region ended.
     kernel::launch("after");
-    let n: u64 = xs.par_iter().map(|_| { kernel::launch("after"); 0u64 }).sum();
+    let n = dp_pool::map_reduce(
+        xs.len(),
+        || 0u64,
+        |acc, _| {
+            kernel::launch("after");
+            acc
+        },
+        |a, b| a + b,
+    );
     assert_eq!(n, 0);
     assert_eq!(kernel::counts().get("after"), Some(&(1 + xs.len() as u64)));
 

@@ -32,7 +32,6 @@ use dp_optim::rlekf::Rlekf;
 use dp_parallel::{CommError, DeviceGroup, FaultPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -279,19 +278,22 @@ impl Trainer {
         for epoch in 1..=self.cfg.max_epochs {
             for batch in sampler.epoch(&mut rng) {
                 let grad = timed(&mut state.phases.gradient, || {
-                    let (mut gsum, _lsum) = batch
-                        .par_iter()
-                        .map(|&i| loss::loss_and_grad(model, &train.frames[i], &weights))
-                        .map(|(l, g)| (g, l))
-                        .reduce(
-                            || (vec![0.0; model.n_params()], 0.0),
-                            |(mut ga, la), (gb, lb)| {
-                                for (a, b) in ga.iter_mut().zip(&gb) {
-                                    *a += b;
-                                }
-                                (ga, la + lb)
-                            },
-                        );
+                    let add = |(mut ga, la): (Vec<f64>, f64), (gb, lb): (Vec<f64>, f64)| {
+                        for (a, b) in ga.iter_mut().zip(&gb) {
+                            *a += b;
+                        }
+                        (ga, la + lb)
+                    };
+                    let (mut gsum, _lsum) = dp_pool::map_reduce(
+                        batch.len(),
+                        || (vec![0.0; model.n_params()], 0.0),
+                        |acc, k| {
+                            let frame = &train.frames[batch[k]];
+                            let (l, g) = loss::loss_and_grad(model, frame, &weights);
+                            add(acc, (g, l))
+                        },
+                        add,
+                    );
                     let inv = 1.0 / batch.len() as f64;
                     for g in &mut gsum {
                         *g *= inv;
@@ -441,10 +443,10 @@ impl Trainer {
         // Energy phase: forward all samples, reduce signed gradients
         // and absolute errors (the early reduction of §3.1).
         let passes = timed(&mut state.phases.forward, || {
-            batch
-                .par_iter()
-                .map(|&i| model.forward_with_cache(cache, i, &train.frames[i]))
-                .collect::<Vec<_>>()
+            par_map(batch.len(), |k| {
+                let i = batch[k];
+                model.forward_with_cache(cache, i, &train.frames[i])
+            })
         });
         // Early reduction (§3.1, Algorithm 1 line 7): gradients are
         // *summed* over the batch ("Ŷ.sum().backward()"), errors are
@@ -481,15 +483,13 @@ impl Trainer {
         });
         // Force phase: fresh passes after the energy update.
         let passes = timed(&mut state.phases.forward, || {
-            batch
-                .par_iter()
-                .map(|&i| {
-                    let frame = &train.frames[i];
-                    let pass = model.forward_with_cache(cache, i, frame);
-                    let forces = model.forces(&pass);
-                    (i, pass, forces)
-                })
-                .collect::<Vec<_>>()
+            par_map(batch.len(), |k| {
+                let i = batch[k];
+                let frame = &train.frames[i];
+                let pass = model.forward_with_cache(cache, i, frame);
+                let forces = model.forces(&pass);
+                (i, pass, forces)
+            })
         });
         let n_groups = self.cfg.force_updates.max(1);
         {
@@ -561,13 +561,10 @@ impl Trainer {
             for batch in sampler.epoch(&mut rng) {
                 // Energy update: one gradient per lane.
                 let targets: Vec<_> = timed(&mut state.phases.gradient, || {
-                    batch
-                        .par_iter()
-                        .map(|&i| {
-                            let pass = model.forward(&train.frames[i]);
-                            energy_target_with(model, &pass, self.cfg.backend)
-                        })
-                        .collect()
+                    par_map(batch.len(), |k| {
+                        let pass = model.forward(&train.frames[batch[k]]);
+                        energy_target_with(model, &pass, self.cfg.backend)
+                    })
                 });
                 timed(&mut state.phases.optimizer, || {
                     let grads: Vec<Vec<f64>> = targets.iter().map(|t| t.grad.clone()).collect();
@@ -577,22 +574,12 @@ impl Trainer {
                 });
                 // Force updates.
                 let per_sample: Vec<_> = timed(&mut state.phases.gradient, || {
-                    batch
-                        .par_iter()
-                        .map(|&i| {
-                            let frame = &train.frames[i];
-                            let pass = model.forward(frame);
-                            let forces = model.forces(&pass);
-                            force_targets_with(
-                                model,
-                                &pass,
-                                &forces,
-                                frame,
-                                n_groups,
-                                self.cfg.backend,
-                            )
-                        })
-                        .collect()
+                    par_map(batch.len(), |k| {
+                        let frame = &train.frames[batch[k]];
+                        let pass = model.forward(frame);
+                        let forces = model.forces(&pass);
+                        force_targets_with(model, &pass, &forces, frame, n_groups, self.cfg.backend)
+                    })
                 });
                 timed(&mut state.phases.optimizer, || {
                     for k in 0..n_groups {
@@ -1058,6 +1045,14 @@ impl Default for RobustConfig {
             poison_p_at: None,
         }
     }
+}
+
+/// `f(k)` for every `k in 0..n` on the pool, collected in index order
+/// into one preallocated output.
+fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    dp_pool::parallel_chunks_mut(&mut out, 1, |k, slot| slot[0] = Some(f(k)));
+    out.into_iter().map(|v| v.expect("every index is written")).collect()
 }
 
 #[allow(clippy::too_many_arguments)]
